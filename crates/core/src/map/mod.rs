@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 use resparc_device::sizing::max_feasible_size;
 use resparc_neuro::connectivity::ConnectivityMatrix;
 use resparc_neuro::network::Network;
-use resparc_neuro::topology::Topology;
+use resparc_neuro::topology::{LayerSpec, Topology};
 
 use crate::config::ResparcConfig;
 pub use optimize::{BatchPlacement, BatchPlacer, PlacementRequest, PlacementStrategy};
@@ -44,6 +44,14 @@ pub enum MapError {
         /// Physical NeuroCells on the chip.
         physical_ncs: usize,
     },
+    /// The caller passed a per-layer weight-magnitude slice whose length
+    /// is not the topology's layer count.
+    WeightCount {
+        /// Layers in the topology.
+        expected: usize,
+        /// Magnitudes supplied.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for MapError {
@@ -58,6 +66,10 @@ impl std::fmt::Display for MapError {
                 f,
                 "placement at NC origin {origin_nc} would occupy NCs up to {end_nc}, beyond the \
                  {physical_ncs} physical NeuroCells"
+            ),
+            MapError::WeightCount { expected, got } => write!(
+                f,
+                "need one mean weight magnitude per layer: {expected} layers, {got} magnitudes"
             ),
         }
     }
@@ -174,11 +186,8 @@ impl Mapper {
     /// # Errors
     ///
     /// Returns [`MapError::InvalidConfig`] if the configuration fails
-    /// validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_weight_mags.len() != topology.layer_count()`.
+    /// validation, or [`MapError::WeightCount`] if
+    /// `mean_weight_mags.len() != topology.layer_count()`.
     pub fn map_with_weights(
         &self,
         topology: &Topology,
@@ -194,11 +203,9 @@ impl Mapper {
     ///
     /// Returns [`MapError::InvalidConfig`] if the configuration fails
     /// validation, or [`MapError::OriginOutOfBounds`] if a non-zero
-    /// origin would place the network past the physical fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_weight_mags.len() != topology.layer_count()`.
+    /// origin would place the network past the physical fabric, or
+    /// [`MapError::WeightCount`] if
+    /// `mean_weight_mags.len() != topology.layer_count()`.
     pub fn map_with_weights_at(
         &self,
         topology: &Topology,
@@ -206,11 +213,12 @@ impl Mapper {
         origin_nc: usize,
     ) -> Result<Mapping, MapError> {
         self.config.validate().map_err(MapError::InvalidConfig)?;
-        assert_eq!(
-            mean_weight_mags.len(),
-            topology.layer_count(),
-            "need one mean weight magnitude per layer"
-        );
+        if mean_weight_mags.len() != topology.layer_count() {
+            return Err(MapError::WeightCount {
+                expected: topology.layer_count(),
+                got: mean_weight_mags.len(),
+            });
+        }
 
         let opts = {
             let mut o = PartitionOptions::new(self.config.mca_size);
@@ -222,9 +230,15 @@ impl Mapper {
             .layers()
             .iter()
             .enumerate()
-            .map(|(i, spec)| {
-                let conn = ConnectivityMatrix::from_layer(spec);
-                partition::partition_layer(&conn, i, &opts)
+            .map(|(i, spec)| match *spec {
+                // Grid tiling in closed form, with no connectivity matrix
+                // built; it equals `partition_layer` on the layer's matrix.
+                LayerSpec::Dense { inputs, outputs }
+                    if opts.input_sharing && inputs > 0 && outputs > 0 =>
+                {
+                    partition::partition_dense(inputs, outputs, i, &opts)
+                }
+                _ => partition::partition_layer(&ConnectivityMatrix::from_layer(spec), i, &opts),
             })
             .collect();
         let placement = place_with_origin(&partitions, &self.config, origin_nc);
@@ -263,7 +277,9 @@ impl Mapper {
     /// feasible candidate size and returns `(size, mapped MCA count)`
     /// pairs, smallest-footprint first. The full energy ranking lives in
     /// the simulator; this structural ranking is the mapper-level proxy
-    /// (fewer, fuller crossbars).
+    /// (fewer, fuller crossbars). Each candidate keeps this mapper's
+    /// settings (input sharing, details, error budget); only the MCA size
+    /// changes.
     pub fn recommend_mca_size(
         &self,
         topology: &Topology,
@@ -272,10 +288,10 @@ impl Mapper {
         let mut out: Vec<(usize, usize)> = candidates
             .iter()
             .filter_map(|&size| {
-                let mut cfg = self.config.clone();
-                cfg.mca_size = size;
+                let mut mapper = self.clone();
+                mapper.config.mca_size = size;
                 // Infeasible candidate sizes are skipped, not fatal.
-                let m = Mapper::new(cfg).map(topology).ok()?;
+                let m = mapper.map(topology).ok()?;
                 // Footprint proxy shared with the simulators' cost math.
                 Some((size, crate::sim::cost::device_footprint(&m.placement, size)))
             })
@@ -458,6 +474,24 @@ mod tests {
         // in-bounds origins pass.
         assert!(mapper.map_at(&t, 0).is_ok());
         assert!(mapper.map_at(&t, 10).is_ok());
+    }
+
+    #[test]
+    fn wrong_weight_count_is_a_typed_error() {
+        let t = Topology::mlp(32, &[16, 4]);
+        let mapper = Mapper::new(ResparcConfig::resparc_64());
+        for mags in [&[0.5][..], &[0.5, 0.5, 0.5][..]] {
+            let err = mapper.map_with_weights(&t, mags).unwrap_err();
+            assert_eq!(
+                err,
+                MapError::WeightCount {
+                    expected: 2,
+                    got: mags.len()
+                }
+            );
+            assert!(err.to_string().contains("2 layers"), "{err}");
+        }
+        assert!(mapper.map_with_weights(&t, &[0.5, 0.5]).is_ok());
     }
 
     #[test]

@@ -174,27 +174,104 @@ impl PartitionOptions {
     }
 }
 
+/// The closed tiles of one layer, in order.
+struct LayerTiles {
+    layer: usize,
+    tiles: Vec<Tile>,
+    tile_rows: Vec<Vec<u32>>,
+    /// `Some` exactly when details are recorded.
+    details: Option<Vec<TileDetail>>,
+}
+
+impl LayerTiles {
+    fn new(layer: usize, record: bool) -> Self {
+        Self {
+            layer,
+            tiles: Vec::new(),
+            tile_rows: Vec::new(),
+            details: record.then(Vec::new),
+        }
+    }
+
+    /// Appends a tile with its rows; `columns` is called only when
+    /// details are recorded.
+    fn push(
+        &mut self,
+        tile: Tile,
+        rows: Vec<u32>,
+        columns: impl FnOnce() -> Vec<TileColumnDetail>,
+    ) {
+        debug_assert_eq!(tile.rows as usize, rows.len());
+        if let Some(details) = &mut self.details {
+            details.push(TileDetail {
+                row_inputs: rows.clone(),
+                columns: columns(),
+            });
+        }
+        self.tiles.push(tile);
+        self.tile_rows.push(rows);
+    }
+
+    /// Assembles the layer's partition. `max_degree` and `degree_sum`
+    /// are the maximum and sum of the outputs' multiplexing degrees.
+    fn finish(
+        self,
+        inputs: usize,
+        outputs: usize,
+        max_degree: u32,
+        degree_sum: u64,
+        sparse: bool,
+    ) -> LayerPartition {
+        LayerPartition {
+            layer: self.layer,
+            total_synapses: self.tiles.iter().map(|t| t.synapses as u64).sum(),
+            tiles: self.tiles,
+            tile_rows: self.tile_rows,
+            details: self.details,
+            max_degree,
+            mean_degree: if outputs == 0 {
+                0.0
+            } else {
+                degree_sum as f64 / outputs as f64
+            },
+            inputs: inputs as u32,
+            outputs: outputs as u32,
+            sparse,
+        }
+    }
+}
+
 /// Mutable state of the tile currently being filled.
+///
+/// Row slots live in two arrays indexed by global input id and sized to
+/// the layer's inputs: `slot[i]` is input `i`'s row in the open tile,
+/// valid only while `stamp[i] == generation`. They are allocated once per
+/// layer, and closing a tile bumps `generation`, which empties them in
+/// O(1), so placing a synapse costs one array probe. Rows take slots in
+/// first-seen order, so every walk of the tile state is deterministic by
+/// construction.
 struct OpenTile {
-    /// Map from global input id to row slot. Ordered so every walk of
-    /// the tile state is deterministic by construction (tiles hold at
-    /// most `mca_size` entries; the BTree cost is negligible).
-    row_of: std::collections::BTreeMap<u32, u32>,
+    stamp: Vec<u32>,
+    slot: Vec<u32>,
+    generation: u32,
     row_inputs: Vec<u32>,
     columns: Vec<TileColumnDetail>,
     synapses: u32,
-    /// Row budget consumed if input sharing is disabled.
-    private_rows: u32,
 }
 
 impl OpenTile {
-    fn new() -> Self {
+    /// An empty tile over a layer with `inputs` input neurons. Without
+    /// input sharing every synapse takes a private row, so no slots are
+    /// kept.
+    fn new(inputs: usize, sharing: bool) -> Self {
+        let len = if sharing { inputs } else { 0 };
         Self {
-            row_of: std::collections::BTreeMap::new(),
+            stamp: vec![0; len],
+            slot: vec![0; len],
+            generation: 1,
             row_inputs: Vec::new(),
             columns: Vec::new(),
             synapses: 0,
-            private_rows: 0,
         }
     }
 
@@ -202,18 +279,19 @@ impl OpenTile {
         self.columns.is_empty()
     }
 
+    fn has_row(&self, input: u32) -> bool {
+        self.stamp[input as usize] == self.generation
+    }
+
     /// Rows that would be occupied after adding `inputs`, under the given
     /// sharing rule.
     fn rows_after(&self, inputs: &[u32], sharing: bool) -> u32 {
-        if sharing {
-            let new = inputs
-                .iter()
-                .filter(|i| !self.row_of.contains_key(i))
-                .count() as u32;
-            self.row_inputs.len() as u32 + new
+        let new = if sharing {
+            inputs.iter().filter(|&&i| !self.has_row(i)).count()
         } else {
-            self.private_rows + inputs.len() as u32
-        }
+            inputs.len()
+        };
+        (self.row_inputs.len() + new) as u32
     }
 
     fn push_column(
@@ -227,24 +305,20 @@ impl OpenTile {
     ) {
         let mut synapses = Vec::new();
         for (&i, &w) in inputs.iter().zip(weight_ids) {
-            let slot = if sharing {
-                *self.row_of.entry(i).or_insert_with(|| {
-                    self.row_inputs.push(i);
-                    (self.row_inputs.len() - 1) as u32
-                })
+            let slot = if sharing && self.has_row(i) {
+                self.slot[i as usize]
             } else {
+                let slot = self.row_inputs.len() as u32;
                 self.row_inputs.push(i);
-                self.private_rows += 1;
-                (self.row_inputs.len() - 1) as u32
+                if sharing {
+                    self.stamp[i as usize] = self.generation;
+                    self.slot[i as usize] = slot;
+                }
+                slot
             };
             if record {
                 synapses.push((slot, w));
             }
-        }
-        if !sharing {
-            // Without sharing, row_of is unused; private_rows already
-            // advanced inside the loop via push.
-            self.private_rows = self.row_inputs.len() as u32;
         }
         self.synapses += inputs.len() as u32;
         self.columns.push(TileColumnDetail {
@@ -254,24 +328,20 @@ impl OpenTile {
         });
     }
 
-    fn close(
-        self,
-        layer: usize,
-        chunk_phase: u32,
-        record: bool,
-    ) -> (Tile, Vec<u32>, Option<TileDetail>) {
+    /// Moves the tile into `out` as fan-in chunk `chunk_phase` and leaves
+    /// `self` empty for the next tile.
+    fn close(&mut self, chunk_phase: u32, out: &mut LayerTiles) {
         let tile = Tile {
-            layer,
+            layer: out.layer,
             chunk: chunk_phase,
             rows: self.row_inputs.len() as u32,
             cols: self.columns.len() as u32,
             synapses: self.synapses,
         };
-        let detail = record.then(|| TileDetail {
-            row_inputs: self.row_inputs.clone(),
-            columns: self.columns,
-        });
-        (tile, self.row_inputs, detail)
+        let columns = std::mem::take(&mut self.columns);
+        out.push(tile, std::mem::take(&mut self.row_inputs), || columns);
+        self.synapses = 0;
+        self.generation += 1;
     }
 }
 
@@ -300,27 +370,26 @@ pub fn partition_layer(
         degree_sum += d as u64;
     }
 
-    let mut tiles = Vec::new();
-    let mut tile_rows: Vec<Vec<u32>> = Vec::new();
-    let mut details: Vec<TileDetail> = Vec::new();
-
     // Pack outputs whose receptive fields overlap into the same tile:
     // ordering by first input id clusters the same spatial position
     // across feature maps (identical or near-identical input sets), which
     // is what makes input sharing effective for convolutions. Dense
-    // layers are unaffected (every output starts at input 0).
-    let mut order: Vec<u32> = (0..outputs as u32).collect();
-    order.sort_by_key(|&o| (conn.inputs_of(o as usize).first().copied().unwrap_or(0), o));
+    // layers are unaffected (every output starts at input 0). The keys
+    // are unique (they end in `o`), so an unstable sort is exact.
+    let mut order: Vec<(u32, u32)> = (0..outputs as u32)
+        .map(|o| (conn.inputs_of(o as usize).first().copied().unwrap_or(0), o))
+        .collect();
+    order.sort_unstable();
 
     // Chunk-major sweep: phase k packs the k-th fan-in chunk of every
     // output that has one. Dense layers degenerate to grid tiling because
     // chunk k of every output covers the identical row window.
+    let mut out = LayerTiles::new(layer, options.record_details);
+    let mut open = OpenTile::new(conn.inputs(), options.input_sharing);
     for k in 0..max_degree as usize {
-        let mut open = OpenTile::new();
-        for &o in &order {
-            let o = o as usize;
-            let ins = conn.inputs_of(o);
-            let wids = conn.weight_ids_of(o);
+        for &(_, o) in &order {
+            let ins = conn.inputs_of(o as usize);
+            let wids = conn.weight_ids_of(o as usize);
             let start = k * n;
             if start >= ins.len() {
                 continue;
@@ -332,19 +401,10 @@ pub fn partition_layer(
             let fits_rows = open.rows_after(chunk_inputs, options.input_sharing) <= n as u32;
             let fits_cols = (open.columns.len() as u32) < n as u32;
             if !(open.is_empty() || (fits_rows && fits_cols)) {
-                let (tile, rows, detail) = std::mem::replace(&mut open, OpenTile::new()).close(
-                    layer,
-                    k as u32,
-                    options.record_details,
-                );
-                tiles.push(tile);
-                tile_rows.push(rows);
-                if let Some(d) = detail {
-                    details.push(d);
-                }
+                open.close(k as u32, &mut out);
             }
             open.push_column(
-                o as u32,
+                o,
                 k as u32,
                 chunk_inputs,
                 chunk_wids,
@@ -358,42 +418,83 @@ pub fn partition_layer(
             );
         }
         if !open.is_empty() {
-            let (tile, rows, detail) = open.close(layer, k as u32, options.record_details);
-            tiles.push(tile);
-            tile_rows.push(rows);
-            if let Some(d) = detail {
-                details.push(d);
-            }
+            open.close(k as u32, &mut out);
         }
     }
 
-    let total_synapses: u64 = tiles.iter().map(|t| t.synapses as u64).sum();
+    let partition = out.finish(
+        conn.inputs(),
+        outputs,
+        max_degree,
+        degree_sum,
+        conn.density() < 0.999,
+    );
     assert_eq!(
-        total_synapses,
+        partition.total_synapses,
         conn.synapse_count() as u64,
         "partition must cover every synapse exactly once"
     );
+    partition
+}
 
-    debug_assert!(tiles
-        .iter()
-        .zip(&tile_rows)
-        .all(|(t, r)| t.rows as usize == r.len()));
-    LayerPartition {
-        layer,
-        tiles,
-        tile_rows,
-        details: options.record_details.then_some(details),
-        max_degree,
-        mean_degree: if outputs == 0 {
-            0.0
-        } else {
-            degree_sum as f64 / outputs as f64
-        },
-        inputs: conn.inputs() as u32,
-        outputs: outputs as u32,
-        total_synapses,
-        sparse: conn.density() < 0.999,
+/// Partitions a fully-connected `inputs × outputs` layer in closed form,
+/// without building its connectivity matrix.
+///
+/// This is the grid tiling [`partition_layer`] reaches on a dense matrix
+/// with input sharing on, and it returns the identical partition: fan-in
+/// chunk `k` occupies the row window `[k·n, min((k+1)·n, inputs))`, and the
+/// outputs split into runs of `n` columns. Without sharing the generic
+/// sweep packs differently, and an empty layer reports a different
+/// density, so those cases must go through [`partition_layer`].
+///
+/// # Panics
+///
+/// Panics if `options.mca_size` is zero.
+pub(crate) fn partition_dense(
+    inputs: usize,
+    outputs: usize,
+    layer: usize,
+    options: &PartitionOptions,
+) -> LayerPartition {
+    let n = options.mca_size;
+    assert!(n > 0, "MCA size must be non-zero");
+    debug_assert!(options.input_sharing && inputs > 0 && outputs > 0);
+    let degree = inputs.div_ceil(n);
+    let mut out = LayerTiles::new(layer, options.record_details);
+    for k in 0..degree {
+        let window: Vec<u32> = (k * n..((k + 1) * n).min(inputs))
+            .map(|i| i as u32)
+            .collect();
+        for first in (0..outputs).step_by(n) {
+            let cols = first..(first + n).min(outputs);
+            let tile = Tile {
+                layer,
+                chunk: k as u32,
+                rows: window.len() as u32,
+                cols: cols.len() as u32,
+                synapses: (window.len() * cols.len()) as u32,
+            };
+            out.push(tile, window.clone(), || {
+                cols.map(|o| TileColumnDetail {
+                    output: o as u32,
+                    chunk: k as u32,
+                    // A dense layer's weight id is `o · inputs + i`.
+                    synapses: (0u32..)
+                        .zip(&window)
+                        .map(|(slot, &i)| (slot, (o * inputs + i as usize) as u32))
+                        .collect(),
+                })
+                .collect()
+            });
+        }
     }
+    out.finish(
+        inputs,
+        outputs,
+        degree as u32,
+        degree as u64 * outputs as u64,
+        false,
+    )
 }
 
 #[cfg(test)]

@@ -175,7 +175,9 @@ pub fn place_with_origin(
         next_mpe += mpes;
 
         let first_nc = first_mpe / mpes_per_nc;
-        let end_nc = (next_mpe - 1) / mpes_per_nc + 1;
+        // An empty first layer at origin 0 leaves `next_mpe` at 0; it
+        // spans NC 0 like any empty layer spans its cursor's NC.
+        let end_nc = next_mpe.saturating_sub(1) / mpes_per_nc + 1;
 
         // CCU traffic: an output of degree d integrates currents from d
         // chunk tiles; one mPE hosts up to `mcas_per_mpe` of them, so
@@ -236,6 +238,18 @@ mod tests {
         assert_eq!(p.ncs_used, 1);
         assert!(!p.boundary_crosses_nc(1));
         assert!(p.boundary_crosses_nc(0)); // input always via SRAM/bus
+    }
+
+    #[test]
+    fn empty_first_layer_places_without_panicking() {
+        // A zero-output dense layer has no tiles; at origin 0 it must
+        // still get a span at NC 0 rather than underflow.
+        let cfg = ResparcConfig::resparc_64();
+        let parts = vec![dense_partition(8, 0, 64, 0), dense_partition(0, 4, 64, 1)];
+        let p = place(&parts, &cfg);
+        assert_eq!(p.mcas_used, 0);
+        assert_eq!((p.layers[0].first_nc, p.layers[0].end_nc), (0, 1));
+        assert_eq!(p.ncs_used, 0);
     }
 
     #[test]
