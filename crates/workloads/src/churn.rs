@@ -5,8 +5,9 @@
 //! tenant set for a whole replay batch — PR 4's static realisation of
 //! RESPARC's reconfigurability. [`churn_sweep`] measures the dynamic
 //! half: requests **arrive over rounds**, are admitted by a
-//! [`FabricScheduler`] when the pool's [`PackingPolicy`] finds capacity
-//! (first-fit, best-fit, or defragmenting compaction), queue FIFO
+//! [`FabricScheduler`](resparc_core::fabric::FabricScheduler) when the
+//! pool's [`PackingPolicy`] finds capacity (first-fit, best-fit, or
+//! defragmenting compaction), queue FIFO
 //! otherwise, and **depart** when their service completes — freeing
 //! NeuroCells for the next arrival while other tenants keep replaying.
 //!
@@ -21,8 +22,7 @@
 
 use rayon::prelude::*;
 use resparc_core::fabric::{
-    pool_leakage_power, AdmitError, FabricPool, FabricScheduler, PackingPolicy,
-    SharedEventSimulator, TenantId,
+    pool_leakage_power, AdmitError, FabricPool, PackingPolicy, SharedEventSimulator, TenantId,
 };
 use resparc_core::map::{Mapper, Mapping};
 use resparc_core::ResparcConfig;
@@ -30,6 +30,7 @@ use resparc_energy::units::{Energy, Time};
 use resparc_neuro::network::{Network, SnnRunner};
 use resparc_neuro::trace::SpikeTrace;
 
+use crate::fault::{mean_utilization, run_schedule};
 use crate::sweep::{accuracy_fraction, SweepConfig, TenancyMetrics};
 
 /// One request in a churn schedule, paired index-wise with the network
@@ -101,7 +102,8 @@ pub struct ChurnReport {
     /// (identical under both disciplines: scheduling shares the fabric,
     /// not the spikes).
     pub per_tenant_accuracy: Vec<f64>,
-    /// The dynamically scheduled discipline ([`FabricScheduler`]).
+    /// The dynamically scheduled discipline
+    /// ([`FabricScheduler`](resparc_core::fabric::FabricScheduler)).
     pub churned: ChurnMetrics,
     /// The static baseline: co-resident batches in arrival order, each
     /// provisioned until its longest member departs.
@@ -147,8 +149,9 @@ impl ChurnReport {
 /// is encoded once under `cfg` with seed
 /// [`SweepConfig::sample_seed`]`(j)`, so functional results are
 /// identical in both disciplines *and* across requests presenting the
-/// same sample. The dynamic discipline drives a [`FabricScheduler`]
-/// over the pool (admit when `policy` finds capacity — including
+/// same sample. The dynamic discipline drives a
+/// [`FabricScheduler`](resparc_core::fabric::FabricScheduler) over the
+/// pool (admit when `policy` finds capacity — including
 /// defragmentation for [`PackingPolicy::Defragment`] — queue FIFO
 /// otherwise, evict on departure) and replays each round through
 /// [`SharedEventSimulator::run_weighted`] at the requests' weights. The
@@ -180,145 +183,55 @@ pub fn churn_sweep(
     pool_config: &ResparcConfig,
     policy: PackingPolicy,
 ) -> Result<ChurnReport, AdmitError> {
-    assert_eq!(nets.len(), specs.len(), "one ChurnSpec per network");
-    assert!(!nets.is_empty(), "need at least one request");
-    assert!(!samples.is_empty(), "need at least one sample");
-    assert!(
-        specs.iter().all(|s| s.service_rounds > 0 && s.weight > 0),
-        "service rounds and weights must be positive"
-    );
-
-    let mapper = Mapper::new(pool_config.clone());
-    let probes: Vec<Mapping> = nets
+    check_schedule(nets, specs, samples);
+    let probes = map_probes(nets, pool_config)?;
+    let (traces, decoded) = capture_schedule(nets, specs, samples, cfg);
+    let per_tenant_accuracy: Vec<f64> = specs
         .iter()
-        .map(|n| mapper.map_network(n))
-        .collect::<Result<_, _>>()
-        .map_err(AdmitError::Map)?;
-    for probe in &probes {
-        let needed = probe.placement.ncs_used.max(1);
-        if needed > pool_config.physical_ncs {
-            return Err(AdmitError::CapacityExhausted {
-                needed_ncs: needed,
-                free_ncs: pool_config.physical_ncs,
-                largest_free_run: pool_config.physical_ncs,
-            });
-        }
-    }
-
-    // --- Functional runs: every *distinct* (request, sample)
-    // presentation traced once. A request whose service outlasts the
-    // sample set wraps (round r presents sample r % samples.len()),
-    // and the run is deterministic per (network, sample, seed), so
-    // wrapped rounds replay the identical trace rather than
-    // re-simulating it; `traces[i][r % samples.len()]` is the round-r
-    // trace in both disciplines.
-    let readout = cfg.readout();
-    let jobs: Vec<(usize, usize)> = (0..nets.len())
-        .flat_map(|i| (0..specs[i].service_rounds.min(samples.len())).map(move |j| (i, j)))
-        .collect();
-    let runs: Vec<(usize, SpikeTrace)> = jobs
-        .par_iter()
-        .map(|&(i, j)| {
-            let raster = cfg.encode_sample(j, &samples[j].0);
-            let mut runner = SnnRunner::from_compiled(nets[i].compiled().clone());
-            let (outcome, trace) = runner.run_traced(&raster);
-            (outcome.decode(readout), trace)
-        })
-        .collect();
-    let mut traces: Vec<Vec<SpikeTrace>> = (0..nets.len()).map(|_| Vec::new()).collect();
-    let mut per_tenant_correct = vec![0usize; nets.len()];
-    for (&(i, j), (predicted, trace)) in jobs.iter().zip(runs) {
-        if predicted == samples[j].1 {
+        .zip(&decoded)
+        .map(|(s, classes)| {
             // Sample j is presented on every service round that wraps
             // onto it.
-            per_tenant_correct[i] += specs[i].service_rounds / samples.len()
-                + usize::from(j < specs[i].service_rounds % samples.len());
-        }
-        traces[i].push(trace);
-    }
-    let per_tenant_accuracy: Vec<f64> = per_tenant_correct
-        .iter()
-        .zip(specs)
-        .map(|(&c, s)| accuracy_fraction(c, s.service_rounds))
+            let correct: usize = classes
+                .iter()
+                .enumerate()
+                .filter(|&(j, &class)| class == samples[j].1)
+                .map(|(j, _)| {
+                    s.service_rounds / samples.len()
+                        + usize::from(j < s.service_rounds % samples.len())
+                })
+                .sum();
+            accuracy_fraction(correct, s.service_rounds)
+        })
         .collect();
 
     let pool_leak = pool_leakage_power(pool_config);
-    // Submission order: arrival round, ties in input order.
-    let mut order: Vec<usize> = (0..nets.len()).collect();
-    order.sort_by_key(|&i| specs[i].arrival_round);
-
-    // --- Dynamic discipline: FabricScheduler-driven churn.
-    let mut sched = FabricScheduler::new(FabricPool::new(pool_config.clone()).with_policy(policy));
-    let mut request_net: Vec<usize> = Vec::with_capacity(nets.len());
-    let mut next_submit = 0usize;
-    let mut dyn_energy = Energy::ZERO;
-    let mut dyn_latency_ns = 0.0f64;
-    let mut dyn_busy = 0usize;
-    let mut dyn_util = 0.0f64;
-    let mut dyn_inferences = 0usize;
-    while next_submit < order.len() || !sched.is_idle() {
-        let round = sched.round();
-        while next_submit < order.len() && specs[order[next_submit]].arrival_round <= round {
-            let i = order[next_submit];
-            // The up-front footprint validation already mapped every
-            // network; submit the cached probe instead of partitioning
-            // a second time.
-            let request = sched.submit_mapped(
-                probes[i].clone(),
-                &format!("tenant{i}"),
-                specs[i].service_rounds,
-                specs[i].weight,
-            );
-            debug_assert_eq!(request.index() as usize, request_net.len());
-            request_net.push(i);
-            next_submit += 1;
-        }
-        let residents = sched.begin_round();
-        if !residents.is_empty() {
-            let pairs: Vec<(TenantId, &SpikeTrace)> = residents
-                .iter()
-                .map(|st| {
-                    let i = request_net[st.request.index() as usize];
-                    (st.tenant, &traces[i][st.rounds_served % samples.len()])
-                })
-                .collect();
-            let weights: Vec<u32> = residents.iter().map(|st| st.weight).collect();
-            let report = SharedEventSimulator::new(sched.pool()).run_weighted(&pairs, &weights);
-            dyn_energy += report
-                .tenants
-                .iter()
-                .map(|t| t.energy.total())
-                .sum::<Energy>();
-            dyn_latency_ns += report.latency.nanoseconds();
-            let active_ncs: usize = residents
-                .iter()
-                .filter_map(|st| sched.pool().tenant(st.tenant))
-                .map(|t| t.nc_count())
-                .sum();
-            dyn_util += active_ncs as f64 / pool_config.physical_ncs as f64;
-            dyn_busy += 1;
-            dyn_inferences += residents.len();
-        }
-        sched.end_round();
-    }
-    let dyn_latency = Time::from_nanos(dyn_latency_ns);
-    let dyn_waits: Vec<usize> = sched.completed().iter().map(|r| r.wait_rounds()).collect();
-    let churned = ChurnMetrics {
-        tenancy: TenancyMetrics {
-            dynamic_energy: dyn_energy,
-            pool_energy: dyn_energy + pool_leak * dyn_latency,
-            latency: dyn_latency,
-            inferences: dyn_inferences,
-        },
-        rounds: sched.round(),
-        busy_rounds: dyn_busy,
-        mean_active_utilization: dyn_util / dyn_busy.max(1) as f64,
-        mean_queue_wait: dyn_waits.iter().sum::<usize>() as f64 / dyn_waits.len().max(1) as f64,
-        max_queue_wait: dyn_waits.iter().copied().max().unwrap_or(0),
+    let tenancy = |dynamic_energy: Energy, latency: Time, inferences: usize| TenancyMetrics {
+        dynamic_energy,
+        pool_energy: dynamic_energy + pool_leak * latency,
+        latency,
+        inferences,
     };
+
+    // --- Dynamic discipline: the fault drill's round loop, fault-free.
+    let run = run_schedule(&probes, specs, &traces, pool_config, policy, &[]);
+    let dyn_waits: Vec<usize> = run
+        .sched
+        .completed()
+        .iter()
+        .map(|r| r.wait_rounds())
+        .collect();
+    let churned = ChurnMetrics::new(
+        tenancy(run.dynamic_energy, run.latency, run.inferences),
+        run.sched.round(),
+        run.util_before,
+        &dyn_waits,
+    );
 
     // --- Static baseline: co-resident batches in arrival order, each
     // provisioned until its longest member departs.
+    let mut order: Vec<usize> = (0..nets.len()).collect();
+    order.sort_by_key(|&i| specs[i].arrival_round);
     let mut batches: Vec<Vec<usize>> = Vec::new();
     let mut current: Vec<usize> = Vec::new();
     let mut current_ncs = 0usize;
@@ -337,8 +250,7 @@ pub fn churn_sweep(
 
     let mut stat_energy = Energy::ZERO;
     let mut stat_latency_ns = 0.0f64;
-    let mut stat_busy = 0usize;
-    let mut stat_util = 0.0f64;
+    let mut stat_util = (0.0f64, 0usize);
     let mut stat_inferences = 0usize;
     let mut stat_waits: Vec<usize> = Vec::new();
     let mut round_cursor = 0usize;
@@ -398,26 +310,22 @@ pub fn churn_sweep(
                 .filter_map(|&&(_, id)| pool.tenant(id))
                 .map(|t| t.nc_count())
                 .sum();
-            stat_util += active_ncs as f64 / pool_config.physical_ncs as f64;
-            stat_busy += 1;
+            stat_util.0 += active_ncs as f64 / pool_config.physical_ncs as f64;
+            stat_util.1 += 1;
             stat_inferences += pairs.len();
         }
         round_cursor = start + duration;
     }
-    let stat_latency = Time::from_nanos(stat_latency_ns);
-    let static_baseline = ChurnMetrics {
-        tenancy: TenancyMetrics {
-            dynamic_energy: stat_energy,
-            pool_energy: stat_energy + pool_leak * stat_latency,
-            latency: stat_latency,
-            inferences: stat_inferences,
-        },
-        rounds: round_cursor,
-        busy_rounds: stat_busy,
-        mean_active_utilization: stat_util / stat_busy.max(1) as f64,
-        mean_queue_wait: stat_waits.iter().sum::<usize>() as f64 / stat_waits.len().max(1) as f64,
-        max_queue_wait: stat_waits.iter().copied().max().unwrap_or(0),
-    };
+    let static_baseline = ChurnMetrics::new(
+        tenancy(
+            stat_energy,
+            Time::from_nanos(stat_latency_ns),
+            stat_inferences,
+        ),
+        round_cursor,
+        stat_util,
+        &stat_waits,
+    );
 
     debug_assert_eq!(
         churned.tenancy.inferences,
@@ -430,6 +338,102 @@ pub fn churn_sweep(
         churned,
         static_baseline,
     })
+}
+
+impl ChurnMetrics {
+    /// One discipline's metrics from its bill, its drained round count,
+    /// its `(summed utilization, busy rounds)` and every request's
+    /// queue wait.
+    fn new(tenancy: TenancyMetrics, rounds: usize, util: (f64, usize), waits: &[usize]) -> Self {
+        Self {
+            tenancy,
+            rounds,
+            busy_rounds: util.1,
+            mean_active_utilization: mean_utilization(util),
+            mean_queue_wait: waits.iter().sum::<usize>() as f64 / waits.len().max(1) as f64,
+            max_queue_wait: waits.iter().copied().max().unwrap_or(0),
+        }
+    }
+}
+
+/// The input contract shared by [`churn_sweep`] and
+/// [`fault_recovery_drill`](crate::fault::fault_recovery_drill).
+pub(crate) fn check_schedule(nets: &[Network], specs: &[ChurnSpec], samples: &[(Vec<f32>, usize)]) {
+    assert_eq!(nets.len(), specs.len(), "one ChurnSpec per network");
+    assert!(!nets.is_empty(), "need at least one request");
+    assert!(!samples.is_empty(), "need at least one sample");
+    assert!(
+        specs.iter().all(|s| s.service_rounds > 0 && s.weight > 0),
+        "service rounds and weights must be positive"
+    );
+}
+
+/// Maps every network once on `pool_config`'s machine. The probes are
+/// submitted as-is later, so no request is partitioned twice.
+///
+/// # Errors
+///
+/// Returns [`AdmitError::Map`] if a network cannot be mapped and
+/// [`AdmitError::CapacityExhausted`] if one needs more NeuroCells than
+/// the whole pool has (it could never be admitted).
+pub(crate) fn map_probes(
+    nets: &[Network],
+    pool_config: &ResparcConfig,
+) -> Result<Vec<Mapping>, AdmitError> {
+    let mapper = Mapper::new(pool_config.clone());
+    let probes: Vec<Mapping> = nets
+        .iter()
+        .map(|n| mapper.map_network(n))
+        .collect::<Result<_, _>>()
+        .map_err(AdmitError::Map)?;
+    for probe in &probes {
+        let needed = probe.placement.ncs_used.max(1);
+        if needed > pool_config.physical_ncs {
+            return Err(AdmitError::CapacityExhausted {
+                needed_ncs: needed,
+                free_ncs: pool_config.physical_ncs,
+                largest_free_run: pool_config.physical_ncs,
+            });
+        }
+    }
+    Ok(probes)
+}
+
+/// Traces every *distinct* (request, sample) presentation of a schedule
+/// once, in parallel, and returns `(traces, decoded)`: request `i`'s
+/// trace and decoded class on sample `j` are `traces[i][j]` and
+/// `decoded[i][j]`, for `j < min(service_rounds, samples.len())`.
+///
+/// A request whose service outlasts the sample set wraps (round `r`
+/// presents sample `r % samples.len()`), and the run is deterministic
+/// per (network, sample, seed), so wrapped rounds replay the identical
+/// trace rather than re-simulating it.
+pub(crate) fn capture_schedule(
+    nets: &[Network],
+    specs: &[ChurnSpec],
+    samples: &[(Vec<f32>, usize)],
+    cfg: &SweepConfig,
+) -> (Vec<Vec<SpikeTrace>>, Vec<Vec<usize>>) {
+    let readout = cfg.readout();
+    let jobs: Vec<(usize, usize)> = (0..nets.len())
+        .flat_map(|i| (0..specs[i].service_rounds.min(samples.len())).map(move |j| (i, j)))
+        .collect();
+    let runs: Vec<(usize, SpikeTrace)> = jobs
+        .par_iter()
+        .map(|&(i, j)| {
+            let raster = cfg.encode_sample(j, &samples[j].0);
+            let mut runner = SnnRunner::from_compiled(nets[i].compiled().clone());
+            let (outcome, trace) = runner.run_traced(&raster);
+            (outcome.decode(readout), trace)
+        })
+        .collect();
+    let mut traces: Vec<Vec<SpikeTrace>> = (0..nets.len()).map(|_| Vec::new()).collect();
+    let mut decoded: Vec<Vec<usize>> = vec![Vec::new(); nets.len()];
+    for (&(i, _), (class, trace)) in jobs.iter().zip(runs) {
+        decoded[i].push(class);
+        traces[i].push(trace);
+    }
+    (traces, decoded)
 }
 
 #[cfg(test)]

@@ -27,20 +27,19 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use resparc_core::fabric::{
     AdmitError, FabricPool, FabricScheduler, PackingPolicy, ServiceRecord, SharedEventSimulator,
     TenantId,
 };
-use resparc_core::map::{Mapper, Mapping};
+use resparc_core::map::Mapping;
 use resparc_core::ResparcConfig;
 use resparc_device::fault::FaultPlan;
 use resparc_energy::units::{Energy, Time};
 use resparc_neuro::encoding::Encoding;
-use resparc_neuro::network::{Network, SnnRunner};
+use resparc_neuro::network::Network;
 use resparc_neuro::trace::SpikeTrace;
 
-use crate::churn::ChurnSpec;
+use crate::churn::{capture_schedule, check_schedule, map_probes, ChurnSpec};
 use crate::sweep::{trace_energy_sweep_compiled, SweepConfig, TraceEnergyReport};
 
 /// One `(fault plan, encoding)` cell of a [`fault_sweep`].
@@ -192,60 +191,93 @@ pub fn fault_recovery_drill(
     policy: PackingPolicy,
     faults: &[FaultEvent],
 ) -> Result<FaultDrillReport, AdmitError> {
-    assert_eq!(nets.len(), specs.len(), "one ChurnSpec per network");
-    assert!(!nets.is_empty(), "need at least one request");
-    assert!(!samples.is_empty(), "need at least one sample");
-    assert!(
-        specs.iter().all(|s| s.service_rounds > 0 && s.weight > 0),
-        "service rounds and weights must be positive"
-    );
+    check_schedule(nets, specs, samples);
     assert!(
         faults.iter().all(|f| f.nc < pool_config.physical_ncs),
         "fault events must name NeuroCells inside the pool"
     );
+    let probes = map_probes(nets, pool_config)?;
+    let (traces, _) = capture_schedule(nets, specs, samples, cfg);
+    let run = run_schedule(&probes, specs, &traces, pool_config, policy, faults);
 
-    let mapper = Mapper::new(pool_config.clone());
-    let probes: Vec<Mapping> = nets
-        .iter()
-        .map(|n| mapper.map_network(n))
-        .collect::<Result<_, _>>()
-        .map_err(AdmitError::Map)?;
-    for probe in &probes {
-        let needed = probe.placement.ncs_used.max(1);
-        if needed > pool_config.physical_ncs {
-            return Err(AdmitError::CapacityExhausted {
-                needed_ncs: needed,
-                free_ncs: pool_config.physical_ncs,
-                largest_free_run: pool_config.physical_ncs,
-            });
-        }
-    }
+    let records = run.sched.completed().to_vec();
+    let interrupted: Vec<&ServiceRecord> = records.iter().filter(|r| r.interruptions > 0).collect();
+    let recovered: Vec<&ServiceRecord> =
+        interrupted.iter().copied().filter(|r| !r.aborted).collect();
+    let mean_recovery_rounds = if recovered.is_empty() {
+        0.0
+    } else {
+        recovered
+            .iter()
+            .map(|r| r.recovery_rounds as f64 / r.interruptions as f64)
+            .sum::<f64>()
+            / recovered.len() as f64
+    };
+    Ok(FaultDrillReport {
+        rounds: run.sched.round(),
+        completed: records.iter().filter(|r| !r.aborted).count(),
+        aborted: records.iter().filter(|r| r.aborted).count(),
+        interrupted_requests: interrupted.len(),
+        total_interruptions: records.iter().map(|r| r.interruptions).sum(),
+        mean_recovery_rounds,
+        lost_replays: run.lost_replays,
+        utilization_before: mean_utilization(run.util_before),
+        utilization_after: mean_utilization(run.util_after),
+        failed_ncs: run.sched.pool().failed_ncs(),
+        dynamic_energy: run.dynamic_energy,
+        latency: run.latency,
+        inferences: run.inferences,
+        records,
+    })
+}
 
-    // Trace every distinct (request, sample) presentation once, exactly
-    // like churn_sweep (wrapped service rounds replay the same trace).
-    let jobs: Vec<(usize, usize)> = (0..nets.len())
-        .flat_map(|i| (0..specs[i].service_rounds.min(samples.len())).map(move |j| (i, j)))
-        .collect();
-    let runs: Vec<SpikeTrace> = jobs
-        .par_iter()
-        .map(|&(i, j)| {
-            let raster = cfg.encode_sample(j, &samples[j].0);
-            let mut runner = SnnRunner::from_compiled(nets[i].compiled().clone());
-            let (_, trace) = runner.run_traced(&raster);
-            trace
-        })
-        .collect();
-    let mut traces: Vec<Vec<SpikeTrace>> = (0..nets.len()).map(|_| Vec::new()).collect();
-    for (&(i, _), trace) in jobs.iter().zip(runs) {
-        traces[i].push(trace);
-    }
+/// What [`run_schedule`] measured.
+pub(crate) struct ScheduleRun {
+    /// The drained scheduler: its round clock, its life-cycle log and
+    /// its pool's health.
+    pub(crate) sched: FabricScheduler,
+    /// Per-event energy summed over every replayed round.
+    pub(crate) dynamic_energy: Energy,
+    /// Busy wall-clock summed over every replayed round.
+    pub(crate) latency: Time,
+    /// Replays that actually ran.
+    pub(crate) inferences: usize,
+    /// Resident replays voided by a failure in their round.
+    pub(crate) lost_replays: usize,
+    /// `(summed active NC utilization, busy rounds)` before the first
+    /// fault round — every busy round when there are no faults.
+    pub(crate) util_before: (f64, usize),
+    /// The same from the first fault round on.
+    pub(crate) util_after: (f64, usize),
+}
 
+/// Mean of a `(sum, count)` utilization bucket; `0.0` when empty.
+pub(crate) fn mean_utilization((sum, rounds): (f64, usize)) -> f64 {
+    sum / rounds.max(1) as f64
+}
+
+/// Drives a schedule through a [`FabricScheduler`] round by round:
+/// submits request `i` (probe `probes[i]`) in `specs[i].arrival_round`
+/// (ties in input order), then each round admits, fires that round's
+/// `faults`, replays the surviving residents through
+/// [`SharedEventSimulator::run_weighted`] at their weights, and ends
+/// the round, until nothing is queued, resident or still to arrive.
+/// Request `i` replays `traces[i][r % traces[i].len()]` on its `r`-th
+/// credited service round.
+pub(crate) fn run_schedule(
+    probes: &[Mapping],
+    specs: &[ChurnSpec],
+    traces: &[Vec<SpikeTrace>],
+    pool_config: &ResparcConfig,
+    policy: PackingPolicy,
+    faults: &[FaultEvent],
+) -> ScheduleRun {
     let first_fault_round = faults.iter().map(|f| f.round).min();
-    let mut order: Vec<usize> = (0..nets.len()).collect();
+    let mut order: Vec<usize> = (0..specs.len()).collect();
     order.sort_by_key(|&i| specs[i].arrival_round);
 
     let mut sched = FabricScheduler::new(FabricPool::new(pool_config.clone()).with_policy(policy));
-    let mut request_net: Vec<usize> = Vec::with_capacity(nets.len());
+    let mut request_net: Vec<usize> = Vec::with_capacity(specs.len());
     let mut next_submit = 0usize;
     let mut energy = Energy::ZERO;
     let mut latency_ns = 0.0f64;
@@ -282,7 +314,7 @@ pub fn fault_recovery_drill(
                 .iter()
                 .map(|st| {
                     let i = request_net[st.request.index() as usize];
-                    (st.tenant, &traces[i][st.rounds_served % samples.len()])
+                    (st.tenant, &traces[i][st.rounds_served % traces[i].len()])
                 })
                 .collect();
             let weights: Vec<u32> = residents.iter().map(|st| st.weight).collect();
@@ -309,42 +341,22 @@ pub fn fault_recovery_drill(
         }
         sched.end_round();
     }
-
-    let records = sched.completed().to_vec();
-    let interrupted: Vec<&ServiceRecord> = records.iter().filter(|r| r.interruptions > 0).collect();
-    let recovered: Vec<&ServiceRecord> =
-        interrupted.iter().copied().filter(|r| !r.aborted).collect();
-    let mean_recovery_rounds = if recovered.is_empty() {
-        0.0
-    } else {
-        recovered
-            .iter()
-            .map(|r| r.recovery_rounds as f64 / r.interruptions as f64)
-            .sum::<f64>()
-            / recovered.len() as f64
-    };
-    Ok(FaultDrillReport {
-        rounds: sched.round(),
-        completed: records.iter().filter(|r| !r.aborted).count(),
-        aborted: records.iter().filter(|r| r.aborted).count(),
-        interrupted_requests: interrupted.len(),
-        total_interruptions: records.iter().map(|r| r.interruptions).sum(),
-        mean_recovery_rounds,
-        lost_replays,
-        utilization_before: util_before.0 / util_before.1.max(1) as f64,
-        utilization_after: util_after.0 / util_after.1.max(1) as f64,
-        failed_ncs: sched.pool().failed_ncs(),
+    ScheduleRun {
+        sched,
         dynamic_energy: energy,
         latency: Time::from_nanos(latency_ns),
         inferences,
-        records,
-    })
+        lost_replays,
+        util_before,
+        util_after,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::{DatasetKind, SyntheticImages};
+    use resparc_core::map::Mapper;
     use resparc_neuro::topology::Topology;
 
     /// 2 and 5-NC networks on RESPARC-64 (footprints asserted in

@@ -93,7 +93,6 @@ use resparc_core::fabric::{
     pool_leakage_power, AdmitError, FabricPool, FabricScheduler, PackingPolicy, RequestId,
     SharedEventSimulator, TenantId,
 };
-use resparc_core::map::{Mapper, Mapping};
 use resparc_core::{ReplayEngine, ResparcConfig};
 use resparc_energy::accounting::Category;
 use resparc_energy::sram::SramSpec;
@@ -101,6 +100,7 @@ use resparc_energy::units::{Energy, Time};
 use resparc_neuro::network::{Network, SnnRunner};
 use resparc_neuro::trace::SpikeTrace;
 
+use crate::churn::map_probes;
 use crate::seed::stream_seed;
 use crate::sweep::SweepConfig;
 
@@ -558,22 +558,7 @@ pub fn serving_sweep(
         "service rounds and weights must be positive"
     );
 
-    let mapper = Mapper::new(pool_config.clone());
-    let probes: Vec<Mapping> = nets
-        .iter()
-        .map(|n| mapper.map_network(n))
-        .collect::<Result<_, _>>()
-        .map_err(AdmitError::Map)?;
-    for probe in &probes {
-        let needed = probe.placement.ncs_used.max(1);
-        if needed > pool_config.physical_ncs {
-            return Err(AdmitError::CapacityExhausted {
-                needed_ncs: needed,
-                free_ncs: pool_config.physical_ncs,
-                largest_free_run: pool_config.physical_ncs,
-            });
-        }
-    }
+    let probes = map_probes(nets, pool_config)?;
 
     // --- Traces: every distinct (class, sample) presentation traced
     // once, in parallel; service rounds wrap over the sample set.
@@ -657,12 +642,16 @@ pub fn serving_sweep(
         }
         if sched.is_idle() {
             // Nothing to run: the fabric idles (gated) until the next
-            // arrival.
-            let gap = arrivals[next_arrival] - now;
+            // arrival. With none left, every remaining arrival was
+            // rejected at the door and the run is over.
+            let Some(&next) = arrivals.get(next_arrival) else {
+                break;
+            };
+            let gap = next - now;
             if gap > 0.0 {
                 idle_gap_ns += gap;
             }
-            now = arrivals[next_arrival].max(now);
+            now = next.max(now);
             continue;
         }
 
@@ -978,6 +967,29 @@ mod tests {
                 .count(),
             report.rejected
         );
+    }
+
+    #[test]
+    fn zero_depth_queue_rejects_every_arrival() {
+        let nets = vec![small_net(5)];
+        let classes = vec![ServiceClass::new("only", 2, 1e9)];
+        let spec = ServingSpec::new(4, 500.0, ArrivalProcess::Poisson, 3).with_max_queue(0);
+        let report = serving_sweep(
+            &nets,
+            &classes,
+            &spec,
+            &cfg(),
+            &ResparcConfig::resparc_64(),
+            PackingPolicy::FirstFit,
+        )
+        .unwrap();
+        assert!(report
+            .outcomes
+            .iter()
+            .all(|o| matches!(o, RequestOutcome::Rejected)));
+        assert_eq!(report.rejected, report.arrivals);
+        assert_eq!(report.completed, 0);
+        assert_eq!(report.rounds, 0);
     }
 
     #[test]

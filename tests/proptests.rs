@@ -815,8 +815,9 @@ proptest! {
     }
 
     /// Reports serialize byte-identically across same-seed runs, not
-    /// just compare equal: the Debug rendering of a [`ServingReport`]
-    /// and a [`SweepReport`] is the same byte string both times. Rust's
+    /// just compare equal: the Debug rendering of a [`ServingReport`],
+    /// a [`SweepReport`], a [`ChurnReport`] and a [`FaultDrillReport`]
+    /// is the same byte string both times. Rust's
     /// f64 Debug format is shortest-roundtrip, so byte-identical text
     /// means bit-identical floats — any iteration-order or timing
     /// nondeterminism that PartialEq on aggregates could mask (e.g. a
@@ -850,6 +851,30 @@ proptest! {
         prop_assert_eq!(
             format!("{:?}", sweep()), format!("{:?}", sweep()),
             "same-seed sweep reports must render identically"
+        );
+
+        let tenants: Vec<Network> = (0..requests as u64)
+            .map(|s| Network::random(Topology::mlp(144, &[hidden, 10]), seed + s, 1.0))
+            .collect();
+        let specs: Vec<ChurnSpec> = (0..requests)
+            .map(|i| ChurnSpec::new(i / 2, 1 + i % 3).with_weight(1 + i as u32 % 2))
+            .collect();
+        let churn = || churn_sweep(
+            &tenants, &specs, &samples[..2], &cfg,
+            &ResparcConfig::resparc_64(), PackingPolicy::Defragment,
+        ).expect("one-NC tenants always fit");
+        prop_assert_eq!(
+            format!("{:?}", churn()), format!("{:?}", churn()),
+            "same-seed churn reports must render identically"
+        );
+        let faults = [FaultEvent::new(0, 0), FaultEvent::new(1, (seed % 16) as usize)];
+        let drill = || fault_recovery_drill(
+            &tenants, &specs, &samples[..2], &cfg,
+            &ResparcConfig::resparc_64(), PackingPolicy::FirstFit, &faults,
+        ).expect("one-NC tenants always fit");
+        prop_assert_eq!(
+            format!("{:?}", drill()), format!("{:?}", drill()),
+            "same-seed fault-drill reports must render identically"
         );
     }
 
