@@ -28,19 +28,30 @@ fn mnist_stimulus() -> Vec<f32> {
 }
 
 /// Capturing a 20-step trace on the compiled kernels (the recorder's
-/// overhead on top of a plain spiking run).
+/// overhead on top of a plain spiking run): the dense-rate MLP, and the
+/// sparse TTFS-coded CNN whose capture the per-neuron update dominates.
 fn bench_capture_trace(c: &mut Criterion) {
-    let net = mnist_mlp_net();
-    let mut enc = PoissonEncoder::new(0.4, 5);
-    let raster = enc.encode(&mnist_stimulus(), STEPS);
+    let mlp = mnist_mlp_net();
+    let mlp_raster = PoissonEncoder::new(0.4, 5).encode(&mnist_stimulus(), STEPS);
+    let cnn = Network::random(
+        resparc_suite::resparc_workloads::mnist_cnn().topology,
+        3,
+        1.0,
+    );
+    let cnn_raster = TtfsEncoder::new().encode(&mnist_stimulus(), STEPS);
     let mut group = c.benchmark_group("trace_capture");
     group.sample_size(10);
-    group.bench_function("mnist_mlp_20steps", |b| {
-        b.iter(|| {
-            let mut runner = net.spiking();
-            black_box(runner.run_traced(black_box(&raster)))
-        })
-    });
+    for (id, net, raster) in [
+        ("mnist_mlp_20steps", &mlp, &mlp_raster),
+        ("mnist_cnn_ttfs_20steps", &cnn, &cnn_raster),
+    ] {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let mut runner = net.spiking();
+                black_box(runner.run_traced(black_box(raster)))
+            })
+        });
+    }
     group.finish();
 }
 

@@ -50,7 +50,7 @@ use rayon::prelude::*;
 
 use crate::encoding::Readout;
 use crate::kernel::CompiledNetwork;
-use crate::neuron::{Membrane, NeuronConfig};
+use crate::neuron::{assert_valid_threshold, integrate_fire, Membrane, NeuronConfig};
 use crate::spike::{AsSpikeView, SpikeRaster, SpikeVector};
 use crate::topology::{LayerSpec, Topology};
 use crate::trace::SpikeTrace;
@@ -72,7 +72,8 @@ impl Layer {
     ///
     /// # Panics
     ///
-    /// Panics on a weight-count mismatch or non-positive threshold.
+    /// Panics on a weight-count mismatch, or if `threshold` is not
+    /// strictly positive and finite.
     pub fn new(spec: LayerSpec, weights: Vec<f32>, threshold: f32) -> Self {
         assert_eq!(
             weights.len(),
@@ -80,7 +81,7 @@ impl Layer {
             "weight count mismatch for {} layer",
             spec.kind()
         );
-        assert!(threshold > 0.0, "threshold must be positive");
+        assert_valid_threshold(threshold);
         Self {
             spec,
             weights,
@@ -112,9 +113,9 @@ impl Layer {
     ///
     /// # Panics
     ///
-    /// Panics if `threshold` is not positive.
+    /// Panics if `threshold` is not strictly positive and finite.
     pub fn set_threshold(&mut self, threshold: f32) {
-        assert!(threshold > 0.0, "threshold must be positive");
+        assert_valid_threshold(threshold);
         self.threshold = threshold;
     }
 }
@@ -357,10 +358,19 @@ fn gaussian(rng: &mut StdRng) -> f32 {
 #[derive(Debug, Clone)]
 pub struct SnnRunner {
     kernels: Arc<CompiledNetwork>,
-    membranes: Vec<Vec<Membrane>>,
+    /// Per-layer IF membrane potentials. The runner only ever runs
+    /// [`NeuronConfig::integrate_and_fire`] neurons (leak 1.0, no
+    /// refractory period), so a potential is the whole neuron state.
+    potentials: Vec<Vec<f32>>,
     /// Per-layer input-current scratch, reused across steps.
     currents: Vec<Vec<f32>>,
+    /// Per-layer output spikes of the latest step, written a word at a
+    /// time by the IF kernel.
     spikes: Vec<SpikeVector>,
+    /// Per-layer flag: some potential is still at or above threshold
+    /// after the latest update, so the layer fires even on silent input
+    /// and must not be skipped.
+    pending: Vec<bool>,
     /// Cumulative spike counts per layer (for activity statistics).
     layer_spikes: Vec<u64>,
     /// Cumulative synaptic events (active-input fan-out sum) per layer.
@@ -381,16 +391,12 @@ impl SnnRunner {
 
     /// Creates a runner directly over compiled kernels.
     pub fn from_compiled(kernels: Arc<CompiledNetwork>) -> Self {
-        let membranes = kernels
-            .layers()
-            .iter()
-            .map(|l| vec![Membrane::new(); l.outputs()])
-            .collect();
-        let currents = kernels
+        let potentials: Vec<Vec<f32>> = kernels
             .layers()
             .iter()
             .map(|l| vec![0.0f32; l.outputs()])
             .collect();
+        let currents = potentials.clone();
         let spikes = kernels
             .layers()
             .iter()
@@ -401,9 +407,10 @@ impl SnnRunner {
         let first_spikes = vec![u32::MAX; kernels.output_count()];
         Self {
             kernels,
-            membranes,
+            potentials,
             currents,
             spikes,
+            pending: vec![false; n_layers],
             layer_spikes: vec![0; n_layers],
             synaptic_events: vec![0; n_layers],
             steps_run: 0,
@@ -430,26 +437,27 @@ impl SnnRunner {
         let n_layers = self.kernels.layer_count();
         for li in 0..n_layers {
             let layer = self.kernels.layer(li);
-            let events = {
-                let in_spikes = if li == 0 {
-                    input
-                } else {
-                    self.spikes[li - 1].view()
-                };
-                let currents = &mut self.currents[li];
-                currents.fill(0.0);
-                layer.accumulate_spikes(in_spikes, currents)
-            };
-            self.synaptic_events[li] += events;
-            let cfg = NeuronConfig::integrate_and_fire(layer.threshold());
-            let out = &mut self.spikes[li];
-            out.clear();
-            for (o, m) in self.membranes[li].iter_mut().enumerate() {
-                if m.step(self.currents[li][o], &cfg) {
-                    out.set(o, true);
-                    self.layer_spikes[li] += 1;
-                }
+            let (done, rest) = self.spikes.split_at_mut(li);
+            let in_spikes = done.last().map_or(input, SpikeVector::view);
+            let out = &mut rest[0];
+            // Event-driven skip, exact: with no input current and no leak
+            // no potential moves, and nothing fires unless a potential is
+            // already at threshold (`pending`).
+            if in_spikes.is_silent() && !self.pending[li] {
+                out.clear();
+                continue;
             }
+            let currents = &mut self.currents[li];
+            currents.fill(0.0);
+            self.synaptic_events[li] += layer.accumulate_spikes(in_spikes, currents);
+            let (fired, pending) = integrate_fire(
+                &mut self.potentials[li],
+                currents,
+                layer.threshold(),
+                out.words_mut(),
+            );
+            self.layer_spikes[li] += fired;
+            self.pending[li] = pending;
         }
         self.steps_run += 1;
         let out = &self.spikes[n_layers - 1];
@@ -568,13 +576,7 @@ impl SnnRunner {
                 .layers()
                 .iter()
                 .enumerate()
-                .map(|(li, l)| {
-                    if self.steps_run == 0 {
-                        0.0
-                    } else {
-                        self.layer_spikes[li] as f64 / (self.steps_run as f64 * l.outputs() as f64)
-                    }
-                })
+                .map(|(li, l)| layer_rate(self.layer_spikes[li], self.steps_run, l.outputs()))
                 .collect(),
             synaptic_events: self.synaptic_events.clone(),
             steps: self.steps_run,
@@ -584,14 +586,13 @@ impl SnnRunner {
 
     /// Resets membranes and statistics for a fresh stimulus.
     pub fn reset(&mut self) {
-        for bank in &mut self.membranes {
-            for m in bank {
-                m.reset();
-            }
+        for bank in &mut self.potentials {
+            bank.fill(0.0);
         }
         for s in &mut self.spikes {
             s.clear();
         }
+        self.pending.fill(false);
         self.layer_spikes.fill(0);
         self.synaptic_events.fill(0);
         self.output_counts.fill(0);
@@ -607,6 +608,16 @@ fn first_spike_options(first_spikes: &[u32]) -> Vec<Option<u32>> {
         .iter()
         .map(|&t| (t != u32::MAX).then_some(t))
         .collect()
+}
+
+/// Mean per-neuron per-step firing rate of a layer (shared by both runner
+/// flavours); 0 before any step and for a zero-width layer.
+fn layer_rate(spikes: u64, steps_run: u64, outputs: usize) -> f64 {
+    if steps_run == 0 || outputs == 0 {
+        0.0
+    } else {
+        spikes as f64 / (steps_run as f64 * outputs as f64)
+    }
 }
 
 /// Result of running a spiking classification.
@@ -668,7 +679,9 @@ pub mod reference {
     //!   `accuracy_sweep` criterion groups in `resparc-bench` measure the
     //!   compiled speedup against this path.
 
-    use super::{argmax, first_spike_options, Classification, Membrane, Network, NeuronConfig};
+    use super::{
+        argmax, first_spike_options, layer_rate, Classification, Membrane, Network, NeuronConfig,
+    };
     use crate::spike::{AsSpikeView, SpikeRaster, SpikeVector};
     use crate::topology::LayerSpec;
 
@@ -872,12 +885,11 @@ pub mod reference {
                     .iter()
                     .enumerate()
                     .map(|(li, l)| {
-                        if self.steps_run == 0 {
-                            0.0
-                        } else {
-                            self.layer_spikes[li] as f64
-                                / (self.steps_run as f64 * l.spec().output_count() as f64)
-                        }
+                        layer_rate(
+                            self.layer_spikes[li],
+                            self.steps_run,
+                            l.spec().output_count(),
+                        )
                     })
                     .collect(),
                 synaptic_events: self.synaptic_events.clone(),
@@ -1149,6 +1161,38 @@ mod tests {
             let mut runner = net.spiking();
             assert_eq!(outcomes[k], runner.run(raster));
         }
+    }
+
+    #[test]
+    fn zero_width_layer_keeps_outcomes_comparable() {
+        for t in [Topology::mlp(4, &[0, 3]), Topology::mlp(4, &[5, 0, 3])] {
+            let net = Network::random(t, 7, 1.0);
+            let raster = RegularEncoder::new(1.0).encode(&[0.9, 0.5, 0.2, 1.0], 8);
+            let (first, _) = net.spiking().run_traced(&raster);
+            let (second, _) = net.spiking().run_traced(&raster);
+            assert!(first.layer_rates.iter().all(|r| r.is_finite()));
+            assert_eq!(first, second);
+            assert_eq!(first, reference::RefSnnRunner::new(&net).run(&raster));
+        }
+    }
+
+    fn unit_dense() -> LayerSpec {
+        LayerSpec::Dense {
+            inputs: 1,
+            outputs: 1,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be positive and finite")]
+    fn layer_rejects_infinite_threshold() {
+        let _ = Layer::new(unit_dense(), vec![1.0], f32::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be positive and finite")]
+    fn set_threshold_rejects_infinity() {
+        Layer::new(unit_dense(), vec![1.0], 1.0).set_threshold(f32::INFINITY);
     }
 
     #[test]

@@ -51,10 +51,7 @@ impl NeuronConfig {
     ///
     /// Panics if `threshold` is not strictly positive and finite.
     pub fn integrate_and_fire(threshold: f32) -> Self {
-        assert!(
-            threshold > 0.0 && threshold.is_finite(),
-            "threshold must be positive and finite, got {threshold}"
-        );
+        assert_valid_threshold(threshold);
         Self {
             threshold,
             reset: ResetMode::Subtract,
@@ -89,6 +86,16 @@ impl NeuronConfig {
         self.refractory = steps;
         self
     }
+}
+
+/// The IF threshold contract: strictly positive and finite. `Layer`
+/// enforces it on every threshold it stores, so [`integrate_fire`] does
+/// not re-check it per step.
+pub(crate) fn assert_valid_threshold(threshold: f32) {
+    assert!(
+        threshold > 0.0 && threshold.is_finite(),
+        "threshold must be positive and finite, got {threshold}"
+    );
 }
 
 impl Default for NeuronConfig {
@@ -139,6 +146,53 @@ impl Membrane {
     pub fn reset(&mut self) {
         *self = Self::default();
     }
+}
+
+/// One timestep of a bank of pure IF neurons
+/// ([`NeuronConfig::integrate_and_fire`]`(threshold)`), 64 neurons per
+/// output spike word: bit-identical to [`Membrane::step`] on each neuron,
+/// which with leak 1.0 and no refractory period computes `p + c` and
+/// subtracts the threshold on a fire.
+///
+/// The first pass over a block is branch-free (it vectorizes); the second
+/// runs only in blocks where some neuron crossed. Returns the fired count
+/// and whether any potential is still at or above `threshold`, so a
+/// silent next step would fire again.
+pub(crate) fn integrate_fire(
+    potentials: &mut [f32],
+    currents: &[f32],
+    threshold: f32,
+    words: &mut [u64],
+) -> (u64, bool) {
+    debug_assert_eq!(potentials.len(), currents.len());
+    debug_assert_eq!(words.len(), potentials.len().div_ceil(64));
+    let mut fired = 0u64;
+    let mut still_above = false;
+    for ((block, block_currents), word) in potentials
+        .chunks_mut(64)
+        .zip(currents.chunks(64))
+        .zip(words.iter_mut())
+    {
+        let mut hits = 0u32;
+        for (p, &c) in block.iter_mut().zip(block_currents) {
+            let v = *p + c;
+            hits += (v >= threshold) as u32;
+            *p = v;
+        }
+        let mut bits = 0u64;
+        if hits != 0 {
+            for (k, p) in block.iter_mut().enumerate() {
+                if *p >= threshold {
+                    *p -= threshold;
+                    bits |= 1 << k;
+                    still_above |= *p >= threshold;
+                }
+            }
+            fired += u64::from(hits);
+        }
+        *word = bits;
+    }
+    (fired, still_above)
 }
 
 /// A bank of identically-configured neurons stepped together, as the
@@ -309,5 +363,73 @@ mod tests {
     #[should_panic(expected = "threshold must be positive")]
     fn invalid_threshold_panics() {
         let _ = NeuronConfig::integrate_and_fire(0.0);
+    }
+
+    /// A potential or current drawn as `(kind, x)`: kinds 0..=5 pick zero,
+    /// a ± subnormal, ±inf or NaN; the rest scale `x` by the threshold.
+    fn value(kind: u8, x: f32, threshold: f32) -> f32 {
+        let subnormal = f32::from_bits((x.to_bits() & 0x007f_ffff).max(1));
+        match kind {
+            0 => 0.0,
+            1 => subnormal,
+            2 => -subnormal,
+            3 => f32::INFINITY,
+            4 => f32::NEG_INFINITY,
+            5 => f32::NAN,
+            _ => x * threshold,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The IF bank kernel is bit-identical to stepping each
+        /// `Membrane` under `integrate_and_fire(t)`, over carried-over
+        /// steps: same spike words, fired count and "still ≥ t" flag, and
+        /// bit-equal potentials (or both NaN).
+        #[test]
+        fn integrate_fire_matches_membrane_step(
+            len in prop_oneof![
+                Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(127), 0usize..300
+            ],
+            threshold in prop_oneof![0.01f32..4.0, Just(1.0f32), Just(f32::MIN_POSITIVE)],
+            start in collection::vec((0u8..16, -3.0f32..3.0), 300),
+            steps in collection::vec(collection::vec((0u8..16, -3.0f32..3.0), 300), 1..5),
+        ) {
+            let cfg = NeuronConfig::integrate_and_fire(threshold);
+            let mut membranes: Vec<Membrane> = start[..len]
+                .iter()
+                .map(|&(k, x)| Membrane { potential: value(k, x, threshold), refractory_left: 0 })
+                .collect();
+            let mut potentials: Vec<f32> = membranes.iter().map(Membrane::potential).collect();
+            // Stale bits from a previous step must be overwritten.
+            let mut words = vec![u64::MAX; len.div_ceil(64)];
+            for step in &steps {
+                let currents: Vec<f32> =
+                    step[..len].iter().map(|&(k, x)| value(k, x, threshold)).collect();
+                let mut expect_words = vec![0u64; words.len()];
+                let mut expect_fired = 0u64;
+                for (o, m) in membranes.iter_mut().enumerate() {
+                    if m.step(currents[o], &cfg) {
+                        expect_words[o / 64] |= 1 << (o % 64);
+                        expect_fired += 1;
+                    }
+                }
+                let (fired, above) =
+                    integrate_fire(&mut potentials, &currents, threshold, &mut words);
+                prop_assert_eq!(&words, &expect_words);
+                prop_assert_eq!(fired, expect_fired);
+                prop_assert_eq!(above, membranes.iter().any(|m| m.potential() >= threshold));
+                for (o, (p, m)) in potentials.iter().zip(&membranes).enumerate() {
+                    let q = m.potential();
+                    prop_assert!(
+                        p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
+                        "neuron {o}: kernel {p:e} vs membrane {q:e}"
+                    );
+                }
+            }
+        }
     }
 }

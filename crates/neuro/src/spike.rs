@@ -183,6 +183,12 @@ impl SpikeVector {
         &self.words
     }
 
+    /// Mutable words, for kernels that write whole spike words. The caller
+    /// keeps the tail-zero invariant: no bit at index ≥ `len` may be set.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// A borrowed view of this vector (same read API, no ownership).
     #[inline]
     pub fn view(&self) -> SpikeView<'_> {

@@ -117,6 +117,54 @@ fn conv_spiking_matches_reference() {
 }
 
 #[test]
+fn conv_ttfs_spiking_matches_reference() {
+    // One spike per input: most steps reach some layers silent, so the
+    // compiled runner's silent-layer skip is on the path.
+    let net = conv_net(13);
+    let raster = TtfsEncoder::new().encode(&stimulus(144, 3), 25);
+    assert_spiking_identical(&net, &raster);
+    let (outcome, trace) = net.spiking().run_traced(&raster);
+    assert!(
+        outcome.layer_rates[0] > 0.0,
+        "the first conv layer must fire"
+    );
+    assert!(!trace.is_silent());
+}
+
+#[test]
+fn stored_charge_keeps_firing_through_silent_steps() {
+    // One input spike charges a neuron to 5x threshold; it must fire on
+    // five consecutive steps although every later input step is silent,
+    // and the output layer's own residue fires past the end of its input.
+    let hidden = Layer::new(
+        LayerSpec::Dense {
+            inputs: 1,
+            outputs: 3,
+        },
+        vec![5.0, 2.5, 0.5],
+        1.0,
+    );
+    let output = Layer::new(
+        LayerSpec::Dense {
+            inputs: 3,
+            outputs: 1,
+        },
+        vec![1.0; 3],
+        1.0,
+    );
+    let net = Network::new(1, vec![hidden, output]);
+    let mut raster = SpikeRaster::new(1);
+    raster.push(SpikeVector::from_bools(&[true]));
+    for _ in 0..9 {
+        raster.push(SpikeVector::new(1));
+    }
+    assert_spiking_identical(&net, &raster);
+    let outcome = net.spiking().run(&raster);
+    assert_eq!(outcome.output_counts, vec![7]);
+    assert_eq!(outcome.first_spike_steps, vec![Some(0)]);
+}
+
+#[test]
 fn pool_spiking_matches_reference() {
     let net = pool_net();
     let mut enc = PoissonEncoder::new(0.8, 3);
